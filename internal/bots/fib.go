@@ -53,10 +53,13 @@ func fibTask(w *core.Worker, n int) uint64 {
 	return a + b
 }
 
-// RunSequential implements Benchmark.
-func (f *Fib) RunSequential() { _ = fibIter(f.n) }
+// RunSequential implements Benchmark: the same doubly recursive algorithm
+// as the task version, without tasks (fibSerial), so it is the honest
+// single-threaded baseline.
+func (f *Fib) RunSequential() { _ = fibSerial(f.n) }
 
-// fibIter is the closed-form-free reference.
+// fibIter is Verify's reference: linear, so checking a result costs
+// nothing next to computing it.
 func fibIter(n int) uint64 {
 	a, b := uint64(0), uint64(1)
 	for i := 0; i < n; i++ {

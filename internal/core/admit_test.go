@@ -247,9 +247,7 @@ func TestCloseVsBlockedSubmitters(t *testing.T) {
 		switch {
 		case r.err == nil:
 			handles++
-			select {
-			case <-r.j.Done():
-			default:
+			if r.j.state.Load() < jobDone {
 				t.Fatal("Close returned before a counted job quiesced")
 			}
 		case errors.Is(r.err, ErrClosed):

@@ -384,10 +384,4 @@ func TestJobWaitManyWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a waiter never unblocked")
 	}
-	// Done() materialized after completion must already be closed.
-	select {
-	case <-j.Done():
-	default:
-		t.Fatal("Done() not closed after completion")
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,20 +28,35 @@ import (
 // multi-level frame pool, and a caller that is done with a handle may
 // return it with Release so steady-state submission allocates nothing.
 // Release is optional — an unreleased frame is ordinary garbage.
+//
+// Completion is one state word plus one wake token. Every completion
+// operation is a transition on state:
+//
+//	inFlight   → done        finish, no subscriber: deposits the token
+//	inFlight   → subscribed  Subscribe before completion
+//	subscribed → delivered   finish: sends the handle to the subscriber
+//	done       → delivered   Subscribe after completion: takes the token
+//	done       → released    Release: takes the token
+//	delivered  → released    Release
+//
+// The token rule keeps recycling safe: finish deposits the token only on
+// inFlight → done, and that deposit is its last touch of the frame;
+// whoever moves the job out of done takes the token for good before
+// handing the frame on. A Release racing a finish that has published
+// done but not yet deposited therefore waits for the deposit, and a
+// recycled frame never carries a token into its next generation.
 type Job struct {
 	id   int64
 	root Task
 
-	// Completion state. state flips once, inFlight → done; wake is a
-	// one-token channel allocated once per frame lifetime: finishJob
-	// deposits the token, each Wait takes it and puts it back (so any
-	// number of waiters drain through), and reset reclaims it. doneCh
-	// backs the public Done() channel and is allocated lazily — jobs
-	// whose callers only Wait (the common case) never pay for it.
-	state  atomic.Uint32
-	wake   chan struct{}
-	doneMu sync.Mutex
-	doneCh chan struct{}
+	// state is the completion state above; wake is the one-token channel,
+	// allocated once per frame lifetime, that each Wait takes and puts
+	// back so any number of waiters drain through; sub is the Subscribe
+	// channel, written before the inFlight → subscribed transition that
+	// publishes it to finish.
+	state atomic.Uint32
+	wake  chan struct{}
+	sub   chan *Job
 
 	// class is the job's admission priority class (SubmitOpts.Priority),
 	// fixed at submission: it selects the admission queue, survives
@@ -56,11 +70,11 @@ type Job struct {
 	// completion) and is recorded on the JobRecord.
 	tenant load.Tenant
 
-	// failed is raised by the first panicking task; later tasks of this
-	// job skip their bodies (cancellation) but keep completion accounting,
-	// so the job still quiesces.
+	// failed is raised by the first panicking task, which alone then
+	// writes panicVal/panicStack; later tasks of this job skip their
+	// bodies (cancellation) but keep completion accounting, so the job
+	// still quiesces.
 	failed     atomic.Bool
-	panicMu    sync.Mutex
 	panicVal   any
 	panicStack []byte
 
@@ -71,18 +85,13 @@ type Job struct {
 
 	// tag is an opaque caller-set value carried through the job's
 	// lifetime (the network edge stores the connection-relative wire
-	// sequence number here); notify/notified implement Subscribe's
-	// exactly-once completion hand-off.
-	tag      atomic.Uint64
-	notify   atomic.Value // chan *Job
-	notified atomic.Bool
+	// sequence number here).
+	tag atomic.Uint64
 
-	// released guards double-Release; home/lane identify the frame pool
-	// (the submitting team's, even after a migration) and the pool lane
-	// the frame came from.
-	released atomic.Bool
-	home     *Team
-	lane     int
+	// home/lane identify the frame pool (the submitting team's, even
+	// after a migration) and the pool lane the frame came from.
+	home *Team
+	lane int
 
 	// Profiling fields: the adopting worker and nanosecond timestamps on
 	// the executing team profile's clock. worker/startNS are written by
@@ -97,10 +106,14 @@ type Job struct {
 	endNS    atomic.Int64
 }
 
-// Job completion states.
+// Job completion states, ordered so that state >= jobDone means the job
+// has completed.
 const (
 	jobInFlight uint32 = iota
+	jobSubscribed
 	jobDone
+	jobDelivered
+	jobReleased
 )
 
 // PanicError is the error Job.Wait returns when one of the job's task
@@ -119,25 +132,10 @@ func (e *PanicError) Error() string { return fmt.Sprintf("core: job task panicke
 // ID returns the job's submission sequence number on its team (1-based).
 func (j *Job) ID() int64 { return j.id }
 
-// Done returns a channel closed when the job's task subtree has quiesced.
-// The channel is created on first call; callers that only Wait never
-// allocate it.
-func (j *Job) Done() <-chan struct{} {
-	j.doneMu.Lock()
-	defer j.doneMu.Unlock()
-	if j.doneCh == nil {
-		j.doneCh = make(chan struct{})
-		if j.state.Load() == jobDone {
-			close(j.doneCh)
-		}
-	}
-	return j.doneCh
-}
-
 // Wait blocks until every task of the job has completed. It returns nil on
 // success and a *PanicError when any of the job's task bodies panicked.
 func (j *Job) Wait() error {
-	if j.state.Load() != jobDone {
+	if j.state.Load() < jobDone {
 		<-j.wake
 		j.wake <- struct{}{} // pass the completion token to the next waiter
 	}
@@ -147,31 +145,29 @@ func (j *Job) Wait() error {
 // Err returns the job's failure, or nil if the job succeeded or is still
 // in flight.
 func (j *Job) Err() error {
-	if j.state.Load() != jobDone {
+	if j.state.Load() < jobDone || j.panicVal == nil {
 		return nil
 	}
-	j.panicMu.Lock()
-	r, stack := j.panicVal, j.panicStack
-	j.panicMu.Unlock()
-	if r != nil {
-		return &PanicError{Value: r, Stack: stack}
-	}
-	return nil
+	return &PanicError{Value: j.panicVal, Stack: j.panicStack}
 }
 
 // Release returns the job's frame to its team's pool for reuse, making
 // steady-state submission allocation-free. It is a no-op while the job is
 // still in flight, on a second call, and on a nil job — but never call it
-// while another goroutine may still use this handle (a concurrent Wait,
-// Err, or Done): Release transfers ownership of the frame exactly like
-// freeing it, and the next Submit may hand the same frame to an unrelated
-// caller. Releasing is optional; an unreleased handle is simply garbage
-// collected.
+// while another goroutine may still use this handle (a concurrent Wait or
+// Err): Release transfers ownership of the frame exactly like freeing it,
+// and the next Submit may hand the same frame to an unrelated caller. A
+// subscribed job is released by its receiver, after delivery. Releasing
+// is optional; an unreleased handle is simply garbage collected.
 func (j *Job) Release() {
-	if j == nil || j.state.Load() != jobDone {
+	if j == nil {
 		return
 	}
-	if j.released.Swap(true) {
+	switch {
+	case j.state.CompareAndSwap(jobDone, jobReleased):
+		<-j.wake // finish's deposit, possibly still on its way
+	case j.state.CompareAndSwap(jobDelivered, jobReleased):
+	default:
 		return
 	}
 	if j.home != nil {
@@ -179,39 +175,19 @@ func (j *Job) Release() {
 	}
 }
 
-// finish publishes completion: records state, closes a Done channel if
-// one was materialized, deposits the wake token (unless a subscriber
-// claimed delivery), and delivers the Subscribe notification. The caller
-// must not touch the job afterwards — a released frame may be reused the
-// moment the token lands (or, for a subscribed job, the moment the
-// receiver takes the handle).
-//
-// Completion publication and the hand-off resolution are one atomic step
-// under doneMu: the moment another goroutine can observe jobDone it can
-// reach Release — a waiter through the wake token, a subscriber through
-// Subscribe's inline-delivery path — and the frame may be recycled for
-// an unrelated submission, so every touch finish makes on the frame must
-// be ordered before that observation. Subscribe runs entirely under the
-// same lock, which forces its inline delivery to wait until finish has
-// released it, by which point finish's only remaining touch is the
-// delivery send it claimed for itself (and a finish that claimed
-// delivery skips the wake token, so no waiter can race the send either —
-// a subscribed job's receiver owns completion, see Subscribe).
+// finish publishes completion. Without a subscriber it moves the job to
+// done and deposits the wake token — its last touch of the frame, which
+// a waiter may Release the moment the token lands. A subscribed job goes
+// to delivered instead and its handle to the subscriber, which owns it
+// from the send on.
 func (j *Job) finish() {
-	j.doneMu.Lock()
-	j.state.Store(jobDone)
-	if j.doneCh != nil {
-		close(j.doneCh)
+	if j.state.CompareAndSwap(jobInFlight, jobDone) {
+		j.wake <- struct{}{}
+		return
 	}
-	ch, _ := j.notify.Load().(chan *Job)
-	deliver := ch != nil && j.notified.CompareAndSwap(false, true)
-	if !deliver {
-		j.wake <- struct{}{} // no subscriber claimed: wake the Wait-ers
-	}
-	j.doneMu.Unlock()
-	if deliver {
-		ch <- j
-	}
+	ch := j.sub
+	j.state.Store(jobDelivered)
+	ch <- j
 }
 
 // Subscribe registers ch to receive the job's handle exactly once when
@@ -219,8 +195,7 @@ func (j *Job) finish() {
 // multiplexing many jobs onto one receiver (the network edge's writer
 // goroutine). It may be called before or after completion: a job that is
 // already done is delivered from Subscribe itself, otherwise the
-// completing worker delivers it, and the CAS between the two sides makes
-// the hand-off exactly-once under any interleaving.
+// completing worker delivers it.
 //
 // Contract: the receiver owns completion for a subscribed job. No other
 // goroutine may Wait, Err, or Release the handle, and ch must have
@@ -229,28 +204,13 @@ func (j *Job) finish() {
 // One channel may serve any number of jobs; at most one Subscribe per
 // job generation.
 func (j *Job) Subscribe(ch chan *Job) {
-	// The whole registration runs under doneMu, the same lock finish
-	// publishes completion under, so the two sides serialize cleanly:
-	// either this critical section completes first — finish then sees
-	// the stored channel, claims delivery, and sends after Subscribe has
-	// no touches left — or finish's completes first, in which case it
-	// saw no subscriber, deposited the wake token, and is done with the
-	// frame entirely before the inline claim below can hand it to the
-	// receiver. Without the lock, either side could still be touching
-	// the frame (finish: the wake deposit; Subscribe: these loads) after
-	// the other delivered it, and the receiver's Release would let the
-	// frame recycle under those touches, corrupting the next generation.
-	j.doneMu.Lock()
-	if j.state.Load() != jobDone {
-		j.notify.Store(ch) // in flight: finish delivers
-		j.doneMu.Unlock()
-		return
+	j.sub = ch
+	if j.state.CompareAndSwap(jobInFlight, jobSubscribed) {
+		return // finish delivers
 	}
-	deliver := j.notified.CompareAndSwap(false, true)
-	j.doneMu.Unlock()
-	if deliver {
-		ch <- j
-	}
+	<-j.wake // done: take finish's token for good before handing the frame on
+	j.state.Store(jobDelivered)
+	ch <- j
 }
 
 // SetTag attaches an opaque caller value to the job for the rest of its
@@ -268,26 +228,15 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	if j.wake == nil {
 		j.wake = make(chan struct{}, 1)
 	}
-	select { // reclaim the completion token of the previous generation
-	case <-j.wake:
-	default:
-	}
 	j.id = id
 	j.class = class
 	j.tenant = tenant
 	j.state.Store(jobInFlight)
-	j.released.Store(false)
-	j.doneMu.Lock()
-	j.doneCh = nil
-	j.doneMu.Unlock()
+	j.sub = nil
 	j.failed.Store(false)
-	j.panicMu.Lock()
 	j.panicVal, j.panicStack = nil, nil
-	j.panicMu.Unlock()
 	j.migrated.Store(false)
 	j.tag.Store(0)
-	j.notified.Store(false)
-	j.notify.Store((chan *Job)(nil))
 	j.home = tm
 	j.lane = lane
 	j.worker.Store(-1)
@@ -327,13 +276,10 @@ func (j *Job) RunTime() time.Duration {
 }
 
 // recordPanic captures the first panic value and its stack and fails the
-// job, cancelling its remaining task bodies.
+// job, cancelling its remaining task bodies. The failed CAS elects the one
+// writer of the panic fields; Err reads them only after completion.
 func (j *Job) recordPanic(r any, stack []byte) {
-	j.panicMu.Lock()
-	if j.panicVal == nil {
-		j.panicVal = r
-		j.panicStack = stack
+	if j.failed.CompareAndSwap(false, true) {
+		j.panicVal, j.panicStack = r, stack
 	}
-	j.panicMu.Unlock()
-	j.failed.Store(true)
 }

@@ -172,13 +172,15 @@ const (
 // may invoke it directly (also with Policy.Interval < 0, which suppresses
 // the background loop). It returns false when the team was not built with
 // the adaptive policy.
-func (tm *Team) PolicyTick() bool {
+func (tm *Team) PolicyTick() bool { return tm.policyTick(tm.Signals()) }
+
+// policyTick is PolicyTick on one given signal aggregate.
+func (tm *Team) policyTick(sig load.Signals) bool {
 	tm.polMu.Lock()
 	defer tm.polMu.Unlock()
 	if tm.adapt == nil {
 		return false
 	}
-	sig := tm.Signals()
 	sat, flipped := tm.adapt.ObserveSaturation(sig)
 	state := satOff
 	if sat {

@@ -266,9 +266,7 @@ func TestServiceCloseDrainsAndRejects(t *testing.T) {
 	}
 	// Close must have waited for every job.
 	for i, j := range handles {
-		select {
-		case <-j.Done():
-		default:
+		if j.state.Load() < jobDone {
 			t.Fatalf("job %d not done after Close", i)
 		}
 		if want := fibRef(14); results[i] != want {

@@ -295,9 +295,7 @@ func (tm *Team) acquireJob(id int64, fn TaskFunc, class load.Class, tenant load.
 func (tm *Team) releaseJob(j *Job) {
 	j.root.fn = nil
 	j.root.job = nil
-	j.panicMu.Lock()
 	j.panicVal, j.panicStack = nil, nil
-	j.panicMu.Unlock()
 	tm.jobPool.PutShared(j.lane, j)
 }
 

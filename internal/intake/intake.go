@@ -65,12 +65,15 @@ type Ring[T any] struct {
 }
 
 // New returns a ring holding at most bound items. The slot array is the
-// next power of two, but the enqueue bound is exactly bound.
+// next power of two, and at least 2, but the enqueue bound is exactly
+// bound. With a single slot a freed sequence number (pos+capacity) would
+// equal an occupied one (pos+1), so a producer could refill the slot
+// while the consumer that claimed it is still reading it.
 func New[T any](bound int) *Ring[T] {
 	if bound < 1 {
 		panic("intake: ring bound must be >= 1")
 	}
-	capn := 1
+	capn := 2
 	for capn < bound {
 		capn <<= 1
 	}

@@ -180,6 +180,27 @@ func TestRingBoundUnderContention(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRingBoundOneClaimedSlot: with bound 1, a consumer that has claimed
+// the only item (advanced the tail) but not yet read it must not have
+// the item overwritten by the next producer, whom the bound check already
+// lets in. The consumer's claim is made by hand, so the interleaving is
+// forced rather than hoped for.
+func TestRingBoundOneClaimedSlot(t *testing.T) {
+	r := New[int](1)
+	if !r.TryEnqueue(1) {
+		t.Fatal("seed enqueue failed")
+	}
+	if !r.tail.CompareAndSwap(0, 1) { // a consumer claims position 0
+		t.Fatal("claim failed")
+	}
+	if !r.TryEnqueue(2) {
+		t.Fatal("enqueue refused below the bound")
+	}
+	if got := r.slots[0].val; got != 1 {
+		t.Fatalf("claimed item overwritten before its consumer read it: %d, want 1", got)
+	}
+}
+
 // TestGateNoLostWake exercises the register → load chan → retry → block
 // protocol against concurrent wakes.
 func TestGateNoLostWake(t *testing.T) {

@@ -365,6 +365,17 @@ func TestServerCloseWithInflightConns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A dialed connection may still sit in the kernel's accept queue, and
+	// closing the listener resets it before the server ever sees it. Wait
+	// until the server holds all of them, so Close meets every connection
+	// in flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Wire().ConnsOpened < conns {
+		if time.Now().After(deadline) {
+			t.Fatalf("server accepted %d of %d connections", srv.Wire().ConnsOpened, conns)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	select {

@@ -14,8 +14,8 @@ import (
 
 // Job is the handle returned by Pool.Submit: Wait blocks until the job's
 // whole task subtree has completed and reports a *PanicError if any of the
-// job's task bodies panicked. See core.Job for the full API (Done, Err,
-// QueueDelay, RunTime, ...).
+// job's task bodies panicked. See core.Job for the full API (Err,
+// Subscribe, Release, QueueDelay, RunTime, ...).
 type Job = core.Job
 
 // PanicError is the error Job.Wait returns for a job that panicked; its
